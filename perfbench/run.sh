@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Builds the kairos daemon and the benchmark driver from the checkout's
+# Builds the kairos daemon and the benchmark program from the checkout's
 # source, then runs one benchmark workload. Run from the repository root:
 #
 #   bash perfbench/run.sh --workload drift --seed 1 --seconds 24 --trace 0
