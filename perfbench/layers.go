@@ -9,11 +9,14 @@ import (
 // after, plus the benchmark's own spans.
 var layerNames = []string{"bench", "server", "kairos", "core", "direct", "greedy", "model", "journal"}
 
-// endToEndNames are the metrics a -trace 0 run reports; BENCHMARK.json
-// lists the same set. Every workload measures each of them.
+// endToEndNames are the metrics a -trace 0 run puts in its result
+// object; BENCHMARK.json lists the same set. Every workload measures each
+// of them. The table also prints read_p99_ms, which every workload
+// measures too, but whose spread between runs on a 2-core machine
+// (0.07 to 0.31 over ten seeds) is too wide to gate on.
 var endToEndNames = []string{
 	"setup_s", "ok_frac", "daemon_rss_mb", "register_s", "plan_k", "plan_objective",
-	"resolve_ack_s", "migrated_units", "read_p99_ms", "ack_p50_ms", "ack_p99_ms",
+	"resolve_ack_s", "migrated_units", "ack_p50_ms", "ack_p99_ms",
 }
 
 // layerMetric is one per-layer metric and the end-to-end metrics it
