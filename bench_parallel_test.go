@@ -139,3 +139,30 @@ func BenchmarkShardedFleetSolve(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkColdSolveALL measures one cold Solve of the 197-server ALL
+// fleet with the default budgets — the ROADMAP's "cold 197-server solve"
+// path: bounded-K binary search, incremental DIRECT per probe, and the
+// polish at K* reusing the K* probe — sequentially and with one worker per
+// CPU. k, objective and fevals are deterministic and identical across the
+// two cases; only ns/op moves.
+func BenchmarkColdSolveALL(b *testing.B) {
+	p := fleetProblem(fleet.All(), nil)
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opt := core.DefaultSolveOptions()
+			opt.Workers = workers
+			var sol *core.Solution
+			for i := 0; i < b.N; i++ {
+				var err error
+				sol, err = core.Solve(context.Background(), p, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sol.K), "k")
+			b.ReportMetric(sol.Objective, "objective")
+			b.ReportMetric(float64(sol.Fevals), "fevals")
+		})
+	}
+}

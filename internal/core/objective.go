@@ -550,16 +550,8 @@ func (ev *Evaluator) Eval(assign []int, K int) (obj float64, feasible bool) {
 //kairos:hotpath
 func (ev *Evaluator) conflicted(a, b int) bool {
 	s := ev.conflicts[a]
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < b {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == b
+	i := searchUnit(s, b)
+	return i < len(s) && s[i] == b
 }
 
 // FitsOneMachine reports whether the given units can share machine j within

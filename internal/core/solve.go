@@ -27,8 +27,10 @@ type SolveOptions struct {
 	SkipDirect bool
 	// Workers is the solver's evaluation parallelism: DIRECT candidate
 	// batches and greedy seeding fan out across this many goroutines, and
-	// the binary search over the machine count probes the speculative next
-	// K values concurrently, cancelling losers (0 or 1 = fully sequential).
+	// the binary search over the machine count probes speculative next K
+	// values concurrently, cancelling losers (0 or 1 = fully sequential).
+	// At most Workers probes are in flight: with two workers the search
+	// speculates only the lower-K half, with three or more both halves.
 	// The computed plan is identical for every worker count — parallelism
 	// only changes wall-clock time — so results stay reproducible.
 	Workers int
@@ -74,11 +76,39 @@ func ParallelSolveOptions() SolveOptions {
 	return o
 }
 
-// kCandidate is a feasible plan found while searching the machine count.
+// kCandidate is one climbed assignment on K machines.
 type kCandidate struct {
 	assign []int
 	obj    float64
-	k      int
+	feas   bool
+}
+
+// better reports whether c beats b: feasibility first, then objective.
+func (c kCandidate) better(b kCandidate) bool {
+	return (c.feas && !b.feas) || (c.feas == b.feas && c.obj < b.obj)
+}
+
+// kProbe is one budgeted probe's outcome at machine count k, with what a
+// polish at the same K can reuse (nil when the probe did not finish).
+type kProbe struct {
+	kCandidate
+	k    int
+	memo *probeMemo
+}
+
+// probeMemo is the work a finished probe at K shares with the polish at
+// the same K: the climbed cold-seed candidates with the Fevals they cost,
+// and the DIRECT objective values keyed by decoded assignment (see
+// appendAssignKey). The polish runs the same cold seeds and, for its
+// first iterations, visits the same DIRECT points, so it takes both from
+// here and credits their Fevals exactly as if it had recomputed them.
+// Solve keeps only the latest feasible probe's memo, in a local, and drops
+// it when it returns.
+type probeMemo struct {
+	k          int
+	seeds      []kCandidate
+	seedFevals int
+	values     map[string]float64
 }
 
 // Solve finds a consolidation plan: the minimum feasible machine count K'
@@ -126,17 +156,20 @@ func Solve(ctx context.Context, p *Problem, opt SolveOptions) (*Solution, error)
 				return nil, fmt.Errorf("core: FixedK %d cannot honour workload unit %d pinned to machine %d", opt.FixedK, u, pin)
 			}
 		}
-		assign, objv, feas := ev.solveK(ctx, opt.FixedK, opt, true)
+		bins, _ := ev.greedySeed(opt.FixedK, opt.workers())
+		best, _ := ev.solveK(ctx, opt.FixedK, opt, bins, true, nil)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return ev.finish(p, assign, opt.FixedK, objv, feas, start), nil
+		return ev.finish(p, best.assign, opt.FixedK, best.obj, best.feas, start), nil
 	}
 
 	// Upper bound: greedy packing (validated against all constraints); if
-	// greedy fails, fall back to every available machine.
+	// greedy fails, fall back to every available machine. This one packing
+	// also gives every probe its greedy seed (see greedyBinsFor).
 	hi := maxK
-	if bins, ok := ev.greedySeed(maxK, opt.workers()); ok {
+	bins, ok := ev.greedySeed(maxK, opt.workers())
+	if ok {
 		hi = len(bins)
 	}
 	if hi < lo {
@@ -144,16 +177,16 @@ func Solve(ctx context.Context, p *Problem, opt SolveOptions) (*Solution, error)
 	}
 
 	// Binary search the smallest feasible K. Feasibility at K is decided by
-	// a budgeted solve; the search keeps the best feasible solution found.
-	var found *kCandidate
+	// a budgeted solve; the search keeps the latest feasible probe.
+	var found *kProbe
 	if opt.workers() > 1 {
-		found = ev.searchKSpeculative(ctx, lo, hi, opt, &lo)
+		found = ev.searchKSpeculative(ctx, lo, hi, opt, bins, &lo)
 	} else {
 		for lo < hi {
 			mid := (lo + hi) / 2
-			assign, objv, feas := ev.solveK(ctx, mid, opt, false)
-			if feas {
-				found = &kCandidate{assign: assign, obj: objv, k: mid}
+			best, memo := ev.solveK(ctx, mid, opt, bins, false, nil)
+			if best.feas {
+				found = &kProbe{kCandidate: best, k: mid, memo: memo}
 				hi = mid
 			} else {
 				lo = mid + 1
@@ -161,17 +194,21 @@ func Solve(ctx context.Context, p *Problem, opt SolveOptions) (*Solution, error)
 		}
 	}
 	kStar := lo
-	// Final run at K' with the polish budget.
-	assign, objv, feas := ev.solveK(ctx, kStar, opt, true)
-	if !feas && found != nil && found.k == kStar {
-		assign, objv, feas = found.assign, found.obj, true
+	// Final run at K' with the polish budget, reusing the probe at K'.
+	var prior *probeMemo
+	if found != nil {
+		prior = found.memo
 	}
-	if !feas && kStar < maxK {
+	best, _ := ev.solveK(ctx, kStar, opt, bins, true, prior)
+	if !best.feas && found != nil && found.k == kStar {
+		best = found.kCandidate
+	}
+	if !best.feas && kStar < maxK {
 		// The bound search can be misled by budgeted solves; walk K upward
 		// until feasible.
 		for k := kStar + 1; k <= maxK; k++ {
-			assign, objv, feas = ev.solveK(ctx, k, opt, true)
-			if feas {
+			best, _ = ev.solveK(ctx, k, opt, bins, true, nil)
+			if best.feas {
 				kStar = k
 				break
 			}
@@ -180,24 +217,28 @@ func Solve(ctx context.Context, p *Problem, opt SolveOptions) (*Solution, error)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return ev.finish(p, assign, kStar, objv, feas, start), nil
+	return ev.finish(p, best.assign, kStar, best.obj, best.feas, start), nil
 }
 
 // searchKSpeculative runs the binary search over the machine count with
 // speculative parallel probing: while the current midpoint K solves, the
-// midpoints of both possible next intervals solve concurrently on cloned
+// midpoints of the possible next intervals solve concurrently on cloned
 // evaluators, and probes that fall outside the interval once the current
-// result lands are cancelled via their context. The sequence of consumed
-// probes is exactly the sequential binary search's, and every probe is a
-// deterministic function of its K, so the outcome (including Fevals, which
-// only counts consumed probes) is identical to the sequential path. The
-// final interval low bound is written to *loOut. Probe contexts derive
-// from the caller's ctx, so cancelling it aborts every in-flight probe.
-func (ev *Evaluator) searchKSpeculative(ctx context.Context, lo, hi int, opt SolveOptions, loOut *int) *kCandidate {
+// result lands are cancelled via their context. At most opt.Workers probes
+// are in flight: with two workers only the lower-K next midpoint is
+// speculated (the greedy upper bound is feasible by construction and
+// loose, so the search mostly moves down), with three or more both are.
+// The sequence of consumed probes is exactly the sequential binary
+// search's, and every probe is a deterministic function of its K, so the
+// outcome (including Fevals, which only counts consumed probes) is
+// identical to the sequential path. Only consumed probes' memos reach the
+// caller. The final interval low bound is written to *loOut. Probe
+// contexts derive from the caller's ctx, so cancelling it aborts every
+// in-flight probe.
+func (ev *Evaluator) searchKSpeculative(ctx context.Context, lo, hi int, opt SolveOptions, bins [][]int, loOut *int) *kProbe {
 	type probeRes struct {
-		assign []int
-		obj    float64
-		feas   bool
+		best   kCandidate
+		memo   *probeMemo
 		fevals int
 	}
 	type future struct {
@@ -206,8 +247,9 @@ func (ev *Evaluator) searchKSpeculative(ctx context.Context, lo, hi int, opt Sol
 	}
 	// Up to three probes (the current mid plus both speculative next mids)
 	// run at once; splitting the worker budget across them keeps the
-	// search's total goroutine count at ~Workers. Which workers a probe
+	// search's total goroutine count at most Workers. Which workers a probe
 	// gets never changes its result, only its wall clock.
+	maxProbes := opt.workers()
 	probeOpt := opt
 	if probeOpt.Workers = opt.workers() / 3; probeOpt.Workers < 1 {
 		probeOpt.Workers = 1
@@ -217,8 +259,8 @@ func (ev *Evaluator) searchKSpeculative(ctx context.Context, lo, hi int, opt Sol
 		f := &future{cancel: cancel, ch: make(chan probeRes, 1)}
 		pe := ev.Clone()
 		go func() {
-			a, o, feas := pe.solveK(pctx, K, probeOpt, false)
-			f.ch <- probeRes{a, o, feas, pe.Fevals}
+			best, memo := pe.solveK(pctx, K, probeOpt, bins, false, nil)
+			f.ch <- probeRes{best, memo, pe.Fevals}
 		}()
 		return f
 	}
@@ -237,23 +279,26 @@ func (ev *Evaluator) searchKSpeculative(ctx context.Context, lo, hi int, opt Sol
 		}
 	}()
 
-	var found *kCandidate
+	var found *kProbe
 	for lo < hi {
 		mid := (lo + hi) / 2
 		cur := ensure(mid)
-		// Speculate both possible next probes while mid solves.
-		if next := (lo + mid) / 2; next < mid {
+		// Speculate the next probes while mid solves, lower half first, in
+		// the slots the worker budget leaves. After pruning, the only probe
+		// left over from the previous round is this mid, so mid itself
+		// never waits for a slot.
+		if next := (lo + mid) / 2; next < mid && len(futures) < maxProbes {
 			ensure(next)
 		}
-		if next := (mid + 1 + hi) / 2; next > mid && next < hi {
+		if next := (mid + 1 + hi) / 2; next > mid && next < hi && len(futures) < maxProbes {
 			ensure(next)
 		}
 		r := <-cur.ch
 		cur.cancel()
 		delete(futures, mid)
 		ev.Fevals += r.fevals
-		if r.feas {
-			found = &kCandidate{assign: r.assign, obj: r.obj, k: mid}
+		if r.best.feas {
+			found = &kProbe{kCandidate: r.best, k: mid, memo: r.memo}
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -393,15 +438,35 @@ func (ev *Evaluator) greedySeed(maxBins, workers int) ([][]int, bool) {
 	return bins, true
 }
 
+// greedyBinsFor returns the greedy seed bins for a probe at K given the
+// packing greedySeed made with the largest bin budget (nil when it
+// failed): those bins iff they fit in K. This equals greedySeed(K): a
+// capped greedy.Pack follows the uncapped run until it would open bin K+1,
+// and MultiResource keeps the fewest-bin packing, so capping at K either
+// reproduces the fewest-bin packing or fails every resource.
+func greedyBinsFor(bins [][]int, K int) [][]int {
+	if bins == nil || len(bins) > K {
+		return nil
+	}
+	return bins
+}
+
 // coldSeeds returns the deterministic cold-start assignments solveK climbs
 // from — greedy packing (when it fits K bins) and round-robin spread, both
 // with unplaced units parked on machine 0 and pins repaired. Resolve uses
 // the same seeds as safety-net candidates, which is what guarantees a warm
 // re-solve never loses to the cold local-search path at the same K.
 func (ev *Evaluator) coldSeeds(K, workers int) [][]int {
+	bins, _ := ev.greedySeed(K, workers)
+	return ev.coldSeedsFrom(bins, K)
+}
+
+// coldSeedsFrom is coldSeeds with the greedy packing already made: bins
+// is any packing greedyBinsFor accepts (nil skips the greedy seed).
+func (ev *Evaluator) coldSeedsFrom(bins [][]int, K int) [][]int {
 	nU := len(ev.units)
 	var seeds [][]int
-	if bins, ok := ev.greedySeed(K, workers); ok {
+	if bins = greedyBinsFor(bins, K); bins != nil {
 		a := greedy.Assignment(bins, nU)
 		for u := range a {
 			if a[u] < 0 {
@@ -425,31 +490,50 @@ func (ev *Evaluator) coldSeeds(K, workers int) [][]int {
 
 // solveK finds the best assignment on exactly K machines with the given
 // budget: greedy and spread seeds improved by hill climbing, plus an
-// optional DIRECT global search, polished again. Deterministic throughout
-// for any worker count; a cancelled ctx aborts early with a best-effort
-// result (speculative probes discard it anyway).
-func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish bool) (assign []int, obj float64, feasible bool) {
+// optional DIRECT global search, polished again. bins is the solve's
+// greedy packing (see greedyBinsFor). Deterministic throughout for any
+// worker count; a cancelled ctx aborts early with a best-effort result
+// (speculative probes discard it anyway).
+//
+// A probe (polish false) also returns its probeMemo, or nil when ctx was
+// cancelled before it finished. A polish given the memo of a probe at the
+// same K reuses the probe's climbed seeds and DIRECT values instead of
+// recomputing them; the result and Fevals are unchanged by the reuse.
+func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, bins [][]int, polish bool, prior *probeMemo) (kCandidate, *probeMemo) {
 	nU := len(ev.units)
-	type cand struct {
-		assign []int
-		obj    float64
-		feas   bool
+	if prior != nil && prior.k != K {
+		prior = nil
 	}
-	var cands []cand
+	var memo *probeMemo
+	if !polish {
+		memo = &probeMemo{k: K}
+	}
+	var cands []kCandidate
 	try := func(a []int) {
 		a2, o2, f2 := ev.hillClimb(ctx, a, K)
-		cands = append(cands, cand{a2, o2, f2})
+		cands = append(cands, kCandidate{a2, o2, f2})
 	}
 
 	// Cold seeds: greedy bins plus round-robin spread.
-	for _, a := range ev.coldSeeds(K, opt.workers()) {
-		try(a)
+	if prior != nil {
+		cands = append(cands, prior.seeds...)
+		ev.Fevals += prior.seedFevals
+	} else {
+		before := ev.Fevals
+		for _, a := range ev.coldSeedsFrom(bins, K) {
+			try(a)
+		}
+		if memo != nil {
+			memo.seeds = append([]kCandidate(nil), cands...)
+			memo.seedFevals = ev.Fevals - before
+		}
 	}
 
 	// DIRECT global search over the compact encoding: one continuous
 	// variable per unit in [0, K), floor() gives the machine index. With
 	// workers > 1 each DIRECT iteration's candidate batch is evaluated
-	// across the worker pool, every worker owning an evaluator clone.
+	// across the worker pool, every worker owning an evaluator clone and
+	// its own incremental objective.
 	if !opt.SkipDirect {
 		budget := opt.DirectFevals
 		if polish {
@@ -473,20 +557,51 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish
 			}
 			return out
 		}
+		var prevValues map[string]float64
+		if prior != nil {
+			prevValues = prior.values
+		}
+		// objective builds one worker's DIRECT objective over ce: prior
+		// probe values are served by key, everything else is priced
+		// incrementally, and a probe records every value it prices into
+		// record for a later polish.
+		objective := func(ce *Evaluator, record map[string]float64) direct.Objective {
+			inc := newDirectObjective(ce, K)
+			tmp := make([]int, nU)
+			var key []byte
+			return func(x []float64) float64 {
+				a := decode(x, tmp)
+				if prevValues != nil || record != nil {
+					key = appendAssignKey(key[:0], a)
+				}
+				if v, ok := prevValues[string(key)]; ok {
+					ce.Fevals++ // as if recomputed
+					return v
+				}
+				v := inc.eval(a)
+				if record != nil {
+					record[string(key)] = v
+				}
+				return v
+			}
+		}
+		newRecord := func() map[string]float64 {
+			if memo == nil {
+				return nil
+			}
+			return map[string]float64{}
+		}
 		dopt := direct.Options{MaxFevals: budget, Epsilon: 1e-4, Ctx: ctx}
 		var res direct.Result
 		var derr error
 		if workers := opt.workers(); workers > 1 {
 			dopt.Workers = workers
 			clones := make([]*Evaluator, workers)
+			records := make([]map[string]float64, workers)
 			res, derr = direct.MinimizeParallel(func(w int) direct.Objective {
-				ce := ev.Clone()
-				clones[w] = ce
-				tmp := make([]int, nU)
-				return func(x []float64) float64 {
-					o, _ := ce.Eval(decode(x, tmp), K)
-					return o
-				}
+				clones[w] = ev.Clone()
+				records[w] = newRecord()
+				return objective(clones[w], records[w])
 			}, lower, upper, dopt)
 			// Fold worker counters back in fixed order: the total is the
 			// batch-point count, independent of scheduling.
@@ -495,27 +610,37 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, polish
 					ev.Fevals += ce.Fevals
 				}
 			}
+			if memo != nil {
+				// A value depends only on its key, so merge order is free.
+				memo.values = records[0]
+				for _, r := range records[1:] {
+					for k, v := range r {
+						memo.values[k] = v
+					}
+				}
+			}
 		} else {
-			tmp := make([]int, nU)
-			res, derr = direct.Minimize(func(x []float64) float64 {
-				o, _ := ev.Eval(decode(x, tmp), K)
-				return o
-			}, lower, upper, dopt)
+			record := newRecord()
+			res, derr = direct.Minimize(objective(ev, record), lower, upper, dopt)
+			if memo != nil {
+				memo.values = record
+			}
 		}
 		if derr == nil {
 			try(decode(res.X, make([]int, nU)))
 		}
 	}
 
-	bestIdx := 0
-	for i := 1; i < len(cands); i++ {
-		b, c := cands[bestIdx], cands[i]
-		if (c.feas && !b.feas) || (c.feas == b.feas && c.obj < b.obj) {
-			bestIdx = i
+	best := cands[0]
+	for _, c := range cands[1:] {
+		if c.better(best) {
+			best = c
 		}
 	}
-	best := cands[bestIdx]
-	return best.assign, best.obj, best.feas
+	if ctx.Err() != nil {
+		memo = nil
+	}
+	return best, memo
 }
 
 // hillClimb is deterministic best-improvement local search — the
