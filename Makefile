@@ -51,8 +51,12 @@ bench:
 # loadstate case must stay at 0 allocs/op and ≥5x the scratch speed, and
 # the screened move+swap sweep at 0 allocs/op and ≥3x the unscreened
 # sweep (sweep-speedup metric) on the 197-server fleet; tracked per PR.
+# The cold 197-server solve (bounded-K search, incremental DIRECT, polish
+# reusing the K* probe) runs once per worker setting; its k, objective and
+# fevals metrics are deterministic and must not move.
 bench-hot:
 	$(GO) test -bench='LoadState|Coarse' -benchmem -benchtime=10x -run='^$$' .
+	$(GO) test -bench='ColdSolveALL' -benchmem -benchtime=1x -run='^$$' .
 
 # Event-driven re-consolidation: the watch loop over quiet + 5%-drifted
 # observation windows of the 197-server fleet. Tracked metrics:
@@ -63,12 +67,13 @@ bench-hot:
 bench-drift:
 	$(GO) test -bench='DriftWatch' -benchmem -benchtime=1x -run='^$$' .
 
-# Machine-readable bench trajectory: the sweep + drift-watch benchmarks as
-# JSON (ns/op, allocs/op, fevals, sweep-speedup, trigger precision/recall
-# per case) in BENCH_sweeps.json, uploaded as a CI artifact so per-PR perf
-# history accumulates.
+# Machine-readable bench trajectory: the sweep, cold-solve and drift-watch
+# benchmarks as JSON (ns/op, allocs/op, fevals, sweep-speedup, k and
+# objective, trigger precision/recall per case) in BENCH_sweeps.json,
+# uploaded as a CI artifact so per-PR perf history accumulates.
 bench-json:
 	( $(GO) test -bench='LoadState|Coarse' -benchmem -benchtime=10x -run='^$$' . ; \
+	  $(GO) test -bench='ColdSolveALL' -benchmem -benchtime=1x -run='^$$' . ; \
 	  $(GO) test -bench='DriftWatch' -benchmem -benchtime=1x -run='^$$' . ) | $(GO) run ./cmd/benchjson > BENCH_sweeps.json
 	@echo wrote BENCH_sweeps.json
 

@@ -67,7 +67,8 @@ var goldenSolves = []goldenSolve{
 
 // TestGoldenColdSolve runs every golden case at 1, 2 and 4 workers and
 // requires K, feasibility, the objective's bits, Fevals and the assignment
-// to match the pinned values exactly.
+// to match the pinned values exactly. Under -race only the cases below
+// 100 workloads run.
 func TestGoldenColdSolve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden 197-server cold solves take seconds; run without -short")
@@ -80,6 +81,9 @@ func TestGoldenColdSolve(t *testing.T) {
 					dp = benchSyntheticDiskProfile()
 				}
 				p := fleetProblem(gc.fleet(), dp)
+				if raceEnabled && len(p.Workloads) > 100 {
+					t.Skip("197-server solves run minutes under -race; the smaller cases cover the same paths")
+				}
 				opt := core.DefaultSolveOptions()
 				opt.SkipDirect = gc.skipDirect
 				opt.Workers = workers

@@ -23,43 +23,46 @@ type directObjective struct {
 	ev *Evaluator
 	K  int
 
-	primed  bool
-	assign  []int     // last priced assignment
+	assign  []int     // last priced assignment (all -1 before the first)
 	members [][]int   // per machine, members in ascending unit order
 	pairs   []int     // per machine, conflicting member pairs
 	contrib []float64 // per machine, exp(norm)+penaltyWeight·viol (0 if empty)
 	dirty   []bool    // per machine, member set changed since last pricing
-	touched []int     // the machines marked dirty, in marking order
 
-	// penalties counts the units priced one penaltyWeight each before the
-	// machine terms: assignments outside [0,K) and broken pins.
+	// penalties counts the units of assign priced one penaltyWeight each
+	// before the machine terms: assignments outside [0,K) and broken pins.
 	penalties int
 
 	cpu, ram, ws, rate []float64 // aggregate scratch, length T
 }
 
 // newDirectObjective returns an incremental objective over K machines
-// pricing with ev (whose Fevals it counts and whose memos it uses). Every
-// member list is sized for all units up front, so pricing never allocates.
+// pricing with ev (whose Fevals it counts and whose memos it uses). It
+// starts from every unit unplaced, so the first point is a diff like any
+// other. Every member list is sized for all units up front, so pricing
+// never allocates.
 func newDirectObjective(ev *Evaluator, K int) *directObjective {
 	nU := len(ev.units)
 	backing := make([]int, K*nU)
 	o := &directObjective{
-		ev:      ev,
-		K:       K,
-		assign:  make([]int, nU),
-		members: make([][]int, K),
-		pairs:   make([]int, K),
-		contrib: make([]float64, K),
-		dirty:   make([]bool, K),
-		touched: make([]int, 0, K),
-		cpu:     make([]float64, ev.T),
-		ram:     make([]float64, ev.T),
-		ws:      make([]float64, ev.T),
-		rate:    make([]float64, ev.T),
+		ev:        ev,
+		K:         K,
+		assign:    make([]int, nU),
+		penalties: nU,
+		members:   make([][]int, K),
+		pairs:     make([]int, K),
+		contrib:   make([]float64, K),
+		dirty:     make([]bool, K),
+		cpu:       make([]float64, ev.T),
+		ram:       make([]float64, ev.T),
+		ws:        make([]float64, ev.T),
+		rate:      make([]float64, ev.T),
 	}
 	for j := range o.members {
 		o.members[j] = backing[j*nU : j*nU : (j+1)*nU]
+	}
+	for u := range o.assign {
+		o.assign[u] = -1
 	}
 	return o
 }
@@ -74,17 +77,6 @@ func (o *directObjective) penalized(u, j int) bool {
 	}
 	pin := o.ev.pin[u]
 	return pin >= 0 && pin != j
-}
-
-// markDirty queues machine j for re-pricing.
-//
-//kairos:hotpath
-func (o *directObjective) markDirty(j int) {
-	if !o.dirty[j] {
-		o.dirty[j] = true
-		o.touched = o.touched[:len(o.touched)+1]
-		o.touched[len(o.touched)-1] = j
-	}
 }
 
 // searchUnit returns the index of the first entry of the ascending unit
@@ -164,51 +156,33 @@ func (o *directObjective) reprice(j int) {
 //kairos:hotpath
 func (o *directObjective) eval(next []int) float64 {
 	o.ev.Fevals++
-	if !o.primed {
-		o.primed = true
-		for u, j := range next {
-			o.assign[u] = j
-			if o.penalized(u, j) {
-				o.penalties++
-			}
-			if j >= 0 && j < o.K {
-				m := o.members[j]
-				m = m[:len(m)+1]
-				m[len(m)-1] = u
-				o.members[j] = m
-			}
+	for u, j := range next {
+		i := o.assign[u]
+		if i == j {
+			continue
 		}
-		for j := 0; j < o.K; j++ {
-			o.markDirty(j)
+		if o.penalized(u, i) {
+			o.penalties--
 		}
-	} else {
-		for u, j := range next {
-			i := o.assign[u]
-			if i == j {
-				continue
-			}
-			if o.penalized(u, i) {
-				o.penalties--
-			}
-			if o.penalized(u, j) {
-				o.penalties++
-			}
-			if i >= 0 && i < o.K {
-				o.remove(i, u)
-				o.markDirty(i)
-			}
-			if j >= 0 && j < o.K {
-				o.insert(j, u)
-				o.markDirty(j)
-			}
-			o.assign[u] = j
+		if o.penalized(u, j) {
+			o.penalties++
+		}
+		if i >= 0 && i < o.K {
+			o.remove(i, u)
+			o.dirty[i] = true
+		}
+		if j >= 0 && j < o.K {
+			o.insert(j, u)
+			o.dirty[j] = true
+		}
+		o.assign[u] = j
+	}
+	for j, d := range o.dirty {
+		if d {
+			o.reprice(j)
+			o.dirty[j] = false
 		}
 	}
-	for _, j := range o.touched {
-		o.reprice(j)
-		o.dirty[j] = false
-	}
-	o.touched = o.touched[:0]
 
 	// Eval's summation order: unit penalties first, then per machine its
 	// conflict penalties followed by its contribution.

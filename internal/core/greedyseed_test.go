@@ -1,30 +1,28 @@
-package core_test
+package core
 
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
-	"kairos/internal/core"
-	"kairos/internal/fleet"
 	"kairos/internal/series"
 )
 
 // tightProblem is a synthetic fleet sized so capacity binds: every
-// workload takes 30–55% of a machine's CPU on a phase-shifted curve and a
-// third of its RAM, so bins close after two or three members and the
-// per-resource packings disagree on the bin count.
-func tightProblem() *core.Problem {
+// workload takes 30–55% of a machine's CPU on a phase-shifted curve and
+// 6–10 GB of its 24 GB RAM, so bins close after two or three members.
+func tightProblem() *Problem {
 	const n, T = 40, 48
 	start := time.Unix(0, 0)
 	step := 5 * time.Minute
-	wls := make([]core.Workload, n)
+	wls := make([]Workload, n)
 	for i := range wls {
 		base := 0.3 + 0.25*float64(i%7)/6
 		phase := float64(i) * 0.7
-		wls[i] = core.Workload{
+		wls[i] = Workload{
 			Name: fmt.Sprintf("w%d", i),
 			CPU: series.FromFunc(start, step, T, func(_ time.Time, t int) float64 {
 				return base * (0.8 + 0.2*math.Sin(2*math.Pi*float64(t)/T+phase))
@@ -36,69 +34,40 @@ func tightProblem() *core.Problem {
 			wls[i].Replicas = 2
 		}
 	}
-	ms := make([]core.Machine, n)
+	ms := make([]Machine, n)
 	for j := range ms {
-		ms[j] = core.Machine{Name: fmt.Sprintf("m%d", j), CPUCapacity: 1, RAMBytes: 24e9, Headroom: 0.05}
+		ms[j] = Machine{Name: fmt.Sprintf("m%d", j), CPUCapacity: 1, RAMBytes: 24e9, Headroom: 0.05}
 	}
-	return &core.Problem{Workloads: wls, Machines: ms}
+	return &Problem{Workloads: wls, Machines: ms}
 }
 
-// TestGreedySeedFromOnePacking: the greedy seed a probe at K derives from
-// the solve's single packing at the full machine budget equals a fresh
-// greedy packing capped at K, for every K and at one and two workers.
-// Under -short or -race, K stops two past the packing's bin count (every
-// larger K repeats the uncapped packing) plus the full budget itself.
-func TestGreedySeedFromOnePacking(t *testing.T) {
-	quick := testing.Short() || core.RaceEnabled
-	cases := []struct {
-		name string
-		p    func() *core.Problem
-	}{
-		{"SecondLife", func() *core.Problem { return fleetCase(fleet.SecondLife) }},
-		{"Wikipedia", func() *core.Problem { return fleetCase(fleet.Wikipedia) }},
-		{"ALL", func() *core.Problem {
-			f := fleet.All()
-			ms := make([]core.Machine, len(f.Servers))
-			for i := range ms {
-				ms[i] = fleet.TargetMachine(fmt.Sprintf("t%d", i), 50e6, 0.05)
-			}
-			return &core.Problem{Workloads: f.Workloads(0.7), Machines: ms}
-		}},
-		{"tight", tightProblem},
+// TestGreedyBinsForMatchesCappedPacking: the greedy seed a probe at K
+// derives from the solve's one packing (greedyBinsFor) equals a fresh
+// packing capped at K, for every K and at one and two workers. The fleet
+// datasets are checked in greedyseed_fleet_test.go.
+func TestGreedyBinsForMatchesCappedPacking(t *testing.T) {
+	problems := map[string]*Problem{
+		"tight":       tightProblem(),
+		"random-disk": randomLoadStateProblem(rand.New(rand.NewSource(9)), 24, 24, true),
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p := tc.p()
-			ev, err := core.NewEvaluator(p)
-			if err != nil {
-				t.Fatal(err)
+	for name, p := range problems {
+		ev, err := NewEvaluator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxK := len(p.Machines)
+		for _, w := range []int{1, 2} {
+			all, _ := ev.GreedySeed(maxK, w)
+			if all == nil {
+				t.Fatalf("%s: greedy packing failed", name)
 			}
-			maxK := len(p.Machines)
-			for _, w := range []int{1, 2} {
-				all, ok := ev.GreedySeed(maxK, w)
-				if !ok {
-					all = nil
-				}
-				for K := 1; K <= maxK; K++ {
-					if quick && all != nil && K > len(all)+2 && K < maxK {
-						continue
-					}
-					want, wok := ev.GreedySeed(K, w)
-					got := core.GreedyBinsFor(all, K)
-					if !wok {
-						if got != nil {
-							t.Fatalf("w=%d K=%d: derived %d bins, fresh packing failed", w, K, len(got))
-						}
-						continue
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("w=%d K=%d: derived bins %v, fresh packing %v", w, K, got, want)
-					}
-				}
-				if all != nil {
-					t.Logf("w=%d: packing uses %d of %d bins", w, len(all), maxK)
+			for K := 1; K <= maxK; K++ {
+				want, ok := ev.GreedySeed(K, w)
+				got := greedyBinsFor(all, K)
+				if !ok && got != nil || ok && !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s w=%d K=%d: derived %v, fresh packing %v (ok=%v)", name, w, K, got, want, ok)
 				}
 			}
-		})
+		}
 	}
 }

@@ -44,7 +44,7 @@ func probeProblem(t *testing.T) (*Evaluator, [][]int, SolveOptions) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bins, ok := ev.greedySeed(len(p.Machines), 1)
+	bins, ok := ev.GreedySeed(len(p.Machines), 1)
 	if !ok {
 		t.Fatal("greedy packing failed")
 	}

@@ -156,7 +156,7 @@ func Solve(ctx context.Context, p *Problem, opt SolveOptions) (*Solution, error)
 				return nil, fmt.Errorf("core: FixedK %d cannot honour workload unit %d pinned to machine %d", opt.FixedK, u, pin)
 			}
 		}
-		bins, _ := ev.greedySeed(opt.FixedK, opt.workers())
+		bins, _ := ev.GreedySeed(opt.FixedK, opt.workers())
 		best, _ := ev.solveK(ctx, opt.FixedK, opt, bins, true, nil)
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -168,7 +168,7 @@ func Solve(ctx context.Context, p *Problem, opt SolveOptions) (*Solution, error)
 	// greedy fails, fall back to every available machine. This one packing
 	// also gives every probe its greedy seed (see greedyBinsFor).
 	hi := maxK
-	bins, ok := ev.greedySeed(maxK, opt.workers())
+	bins, ok := ev.GreedySeed(maxK, opt.workers())
 	if ok {
 		hi = len(bins)
 	}
@@ -383,11 +383,15 @@ func (ev *Evaluator) FractionalLowerBound() int {
 	return k
 }
 
-// greedySeed packs units with the paper's single-resource greedy baseline,
-// using the full multi-resource feasibility check, and returns bins. With
-// workers > 1 the per-resource packings run concurrently, each against its
-// own evaluator clone.
-func (ev *Evaluator) greedySeed(maxBins, workers int) ([][]int, bool) {
+// GreedySeed packs units into at most maxBins machines with the paper's
+// single-resource greedy baseline (Section 7.3), using the full
+// multi-resource feasibility check, and returns the bins (unit indices)
+// and whether every unit was placed. Solve packs once with every machine
+// available; the result is its upper bound on K and the greedy seed of
+// each probe. With workers > 1 the per-resource packings run
+// concurrently, each against its own evaluator clone; the bins are the
+// same for every worker count.
+func (ev *Evaluator) GreedySeed(maxBins, workers int) ([][]int, bool) {
 	nU := len(ev.units)
 	peak := func(vals [][]float64) []float64 {
 		out := make([]float64, nU)
@@ -439,8 +443,8 @@ func (ev *Evaluator) greedySeed(maxBins, workers int) ([][]int, bool) {
 }
 
 // greedyBinsFor returns the greedy seed bins for a probe at K given the
-// packing greedySeed made with the largest bin budget (nil when it
-// failed): those bins iff they fit in K. This equals greedySeed(K): a
+// packing GreedySeed made with the largest bin budget (nil when it
+// failed): those bins iff they fit in K. This equals GreedySeed(K): a
 // capped greedy.Pack follows the uncapped run until it would open bin K+1,
 // and MultiResource keeps the fewest-bin packing, so capping at K either
 // reproduces the fewest-bin packing or fails every resource.
@@ -457,7 +461,7 @@ func greedyBinsFor(bins [][]int, K int) [][]int {
 // the same seeds as safety-net candidates, which is what guarantees a warm
 // re-solve never loses to the cold local-search path at the same K.
 func (ev *Evaluator) coldSeeds(K, workers int) [][]int {
-	bins, _ := ev.greedySeed(K, workers)
+	bins, _ := ev.GreedySeed(K, workers)
 	return ev.coldSeedsFrom(bins, K)
 }
 
@@ -585,23 +589,25 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, bins [
 				return v
 			}
 		}
-		newRecord := func() map[string]float64 {
-			if memo == nil {
-				return nil
+		// Each worker records into its own map; a value depends only on
+		// its key, so the merge below is order-free.
+		workers := opt.workers()
+		records := make([]map[string]float64, workers)
+		workerObjective := func(w int, ce *Evaluator) direct.Objective {
+			if memo != nil {
+				records[w] = map[string]float64{}
 			}
-			return map[string]float64{}
+			return objective(ce, records[w])
 		}
 		dopt := direct.Options{MaxFevals: budget, Epsilon: 1e-4, Ctx: ctx}
 		var res direct.Result
 		var derr error
-		if workers := opt.workers(); workers > 1 {
+		if workers > 1 {
 			dopt.Workers = workers
 			clones := make([]*Evaluator, workers)
-			records := make([]map[string]float64, workers)
 			res, derr = direct.MinimizeParallel(func(w int) direct.Objective {
 				clones[w] = ev.Clone()
-				records[w] = newRecord()
-				return objective(clones[w], records[w])
+				return workerObjective(w, clones[w])
 			}, lower, upper, dopt)
 			// Fold worker counters back in fixed order: the total is the
 			// batch-point count, independent of scheduling.
@@ -610,20 +616,15 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, bins [
 					ev.Fevals += ce.Fevals
 				}
 			}
-			if memo != nil {
-				// A value depends only on its key, so merge order is free.
-				memo.values = records[0]
-				for _, r := range records[1:] {
-					for k, v := range r {
-						memo.values[k] = v
-					}
-				}
-			}
 		} else {
-			record := newRecord()
-			res, derr = direct.Minimize(objective(ev, record), lower, upper, dopt)
-			if memo != nil {
-				memo.values = record
+			res, derr = direct.Minimize(workerObjective(0, ev), lower, upper, dopt)
+		}
+		if memo != nil {
+			memo.values = records[0]
+			for _, r := range records[1:] {
+				for k, v := range r {
+					memo.values[k] = v
+				}
 			}
 		}
 		if derr == nil {
