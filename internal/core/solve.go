@@ -565,11 +565,19 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, bins [
 		if prior != nil {
 			prevValues = prior.values
 		}
-		// objective builds one worker's DIRECT objective over ce: prior
-		// probe values are served by key, everything else is priced
-		// incrementally, and a probe records every value it prices into
-		// record for a later polish.
-		objective := func(ce *Evaluator, record map[string]float64) direct.Objective {
+		// workerObjective builds worker w's DIRECT objective over ce: the
+		// prior probe's values are served by key, everything else is
+		// priced incrementally, and a probe records every value it prices
+		// in records[w] for a later polish. A value depends only on its
+		// key, so merging the workers' records is order-free.
+		workers := opt.workers()
+		records := make([]map[string]float64, workers)
+		workerObjective := func(w int, ce *Evaluator) direct.Objective {
+			var record map[string]float64
+			if memo != nil {
+				record = map[string]float64{}
+				records[w] = record
+			}
 			inc := newDirectObjective(ce, K)
 			tmp := make([]int, nU)
 			var key []byte
@@ -588,16 +596,6 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, bins [
 				}
 				return v
 			}
-		}
-		// Each worker records into its own map; a value depends only on
-		// its key, so the merge below is order-free.
-		workers := opt.workers()
-		records := make([]map[string]float64, workers)
-		workerObjective := func(w int, ce *Evaluator) direct.Objective {
-			if memo != nil {
-				records[w] = map[string]float64{}
-			}
-			return objective(ce, records[w])
 		}
 		dopt := direct.Options{MaxFevals: budget, Epsilon: 1e-4, Ctx: ctx}
 		var res direct.Result
