@@ -201,13 +201,18 @@ func (o *directObjective) eval(next []int) float64 {
 	return obj
 }
 
-// appendAssignKey appends a byte key identifying the assignment exactly:
-// each machine index as a uvarint, which is prefix-free, so distinct
-// assignments of the same length never share a key. Indices must be
-// non-negative (DIRECT's decode guarantees it).
-func appendAssignKey(dst []byte, assign []int) []byte {
-	for _, j := range assign {
-		dst = binary.AppendUvarint(dst, uint64(j))
+// appendAssignKey appends a byte key identifying assign exactly among
+// assignments of its length: the (unit, machine) pairs where it differs
+// from base, as uvarints in unit order. Uvarints are prefix-free, so
+// distinct assignments never share a key; entries must be non-negative.
+// DIRECT's points stay a few coordinates away from the box centre, so
+// keys against the centre's decode are a few bytes long.
+func appendAssignKey(dst []byte, assign, base []int) []byte {
+	for u, j := range assign {
+		if j != base[u] {
+			dst = binary.AppendUvarint(dst, uint64(u))
+			dst = binary.AppendUvarint(dst, uint64(j))
+		}
 	}
 	return dst
 }

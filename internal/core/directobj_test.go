@@ -156,15 +156,19 @@ func TestDirectObjectiveAllocationFree(t *testing.T) {
 // assignments a fixed-width byte encoding would confuse, and equal
 // assignments share a key.
 func TestAppendAssignKeyDistinguishes(t *testing.T) {
-	cases := [][]int{{1, 2}, {2, 1}, {0, 258}, {258, 0}, {2, 2}, {130, 1}, {1, 130}}
+	base := []int{2, 2, 2}
+	cases := [][]int{
+		{2, 2, 2}, {1, 2, 2}, {2, 1, 2}, {2, 2, 1}, {1, 2, 3}, {3, 2, 1},
+		{0, 258, 2}, {258, 0, 2}, {130, 1, 2}, {1, 130, 2}, {2, 2, 130}, {2, 130, 2},
+	}
 	seen := map[string]int{}
 	for i, a := range cases {
-		k := string(appendAssignKey(nil, a))
+		k := string(appendAssignKey(nil, a, base))
 		if j, ok := seen[k]; ok {
 			t.Errorf("assignments %v and %v share a key", cases[j], a)
 		}
 		seen[k] = i
-		if again := string(appendAssignKey(nil, append([]int(nil), a...))); again != k {
+		if again := string(appendAssignKey(nil, append([]int(nil), a...), base)); again != k {
 			t.Errorf("assignment %v: key not stable", a)
 		}
 	}

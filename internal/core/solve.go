@@ -565,6 +565,11 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, bins [
 		if prior != nil {
 			prevValues = prior.values
 		}
+		centre := make([]float64, nU)
+		for i := range centre {
+			centre[i] = float64(K) / 2
+		}
+		keyBase := decode(centre, make([]int, nU))
 		// workerObjective builds worker w's DIRECT objective over ce: the
 		// prior probe's values are served by key, everything else is
 		// priced incrementally, and a probe records every value it prices
@@ -584,7 +589,7 @@ func (ev *Evaluator) solveK(ctx context.Context, K int, opt SolveOptions, bins [
 			return func(x []float64) float64 {
 				a := decode(x, tmp)
 				if prevValues != nil || record != nil {
-					key = appendAssignKey(key[:0], a)
+					key = appendAssignKey(key[:0], a, keyBase)
 				}
 				if v, ok := prevValues[string(key)]; ok {
 					ce.Fevals++ // as if recomputed
