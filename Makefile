@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full race race-full race-server crash-matrix bench bench-hot bench-resolve bench-drift bench-json serve-smoke lint fmt ci
+.PHONY: build test test-full race race-full race-server crash-matrix fuzz bench bench-hot bench-resolve bench-drift bench-json serve-smoke lint fmt ci
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,14 @@ crash-matrix:
 	$(GO) test -run 'TestCrashMatrix|TestRecoveryAfterGracefulClose|TestDeregisterSurvivesRestart|TestIdempotentIngestLive|TestDegradedWhileRecovering' -v ./internal/server/
 	$(GO) test -run 'TestTornTail|TestBitFlips|TestSnapshotCrash|TestCorruptSnapshot|TestTornAppendPoisonsLog|TestPropertyReplayEqualsModel' -v ./internal/journal/
 
+# Bounded fuzzing of the window decoder: decodeWindow must agree with
+# encoding/json bit for bit on every input, and the journal record it
+# splices must decode back to the same window. Seeds are committed under
+# internal/server/testdata/fuzz/FuzzDecodeWindow (plain `go test` replays
+# them); a crasher found here becomes a new committed seed.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeWindow$$' -fuzztime=30s ./internal/server/
+
 # Benchmark smoke: every benchmark once, no unit tests. The full figure
 # benchmarks regenerate the paper's evaluation; see bench_test.go.
 bench:
@@ -67,14 +75,17 @@ bench-hot:
 bench-drift:
 	$(GO) test -bench='DriftWatch' -benchmem -benchtime=1x -run='^$$' .
 
-# Machine-readable bench trajectory: the sweep, cold-solve and drift-watch
-# benchmarks as JSON (ns/op, allocs/op, fevals, sweep-speedup, k and
-# objective, trigger precision/recall per case) in BENCH_sweeps.json,
-# uploaded as a CI artifact so per-PR perf history accumulates.
+# Machine-readable bench trajectory: the sweep, cold-solve, drift-watch
+# and window-ack benchmarks as JSON (ns/op, B/op, allocs/op, MB/s,
+# fevals, sweep-speedup, k and objective, trigger precision/recall per
+# case) in BENCH_sweeps.json, uploaded as a CI artifact so per-PR perf
+# history accumulates. WindowAck posts one quiet 197-server window
+# through the HTTP handler, in memory and journaled (fsync always).
 bench-json:
 	( $(GO) test -bench='LoadState|Coarse' -benchmem -benchtime=10x -run='^$$' . ; \
 	  $(GO) test -bench='ColdSolveALL' -benchmem -benchtime=1x -run='^$$' . ; \
-	  $(GO) test -bench='DriftWatch' -benchmem -benchtime=1x -run='^$$' . ) | $(GO) run ./cmd/benchjson > BENCH_sweeps.json
+	  $(GO) test -bench='DriftWatch' -benchmem -benchtime=1x -run='^$$' . ; \
+	  $(GO) test -bench='WindowAck' -benchmem -benchtime=20x -run='^$$' ./internal/server/ ) | $(GO) run ./cmd/benchjson > BENCH_sweeps.json
 	@echo wrote BENCH_sweeps.json
 
 # Rolling re-consolidation: warm-started Resolve on the drifted 197-server
@@ -110,4 +121,4 @@ fmt:
 # Local CI mirror. The hosted workflow runs the same gates, with the
 # short race pass promoted to `race-full` in a dedicated job (and
 # govulncheck, which needs network access to fetch its vuln DB).
-ci: build lint test race race-server crash-matrix serve-smoke bench
+ci: build lint test race race-server crash-matrix fuzz serve-smoke bench

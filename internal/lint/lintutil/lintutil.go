@@ -17,16 +17,21 @@ import (
 )
 
 // HasMarker reports whether a comment group contains the given directive
-// as a whole line, e.g. "//kairos:hotpath". Directive comments follow the
+// as the first field of a line comment, e.g. "//kairos:hotpath" or
+// "//kairos:ack — why this function acks". Directive comments follow the
 // Go convention: no space after the slashes, machine-readable, and they
-// may share the group with prose lines.
+// may share the group with prose lines; a mention of the directive
+// inside prose does not count.
 func HasMarker(doc *ast.CommentGroup, marker string) bool {
 	if doc == nil {
 		return false
 	}
 	for _, c := range doc.List {
-		text := strings.TrimPrefix(c.Text, "//")
-		if strings.TrimSpace(text) == marker {
+		text, ok := strings.CutPrefix(c.Text, "//")
+		if !ok {
+			continue
+		}
+		if f := strings.Fields(text); len(f) > 0 && f[0] == marker {
 			return true
 		}
 	}

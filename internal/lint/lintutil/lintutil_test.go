@@ -145,6 +145,31 @@ func cold() {}
 	}
 }
 
+func TestHasMarkerTrailingText(t *testing.T) {
+	_, files := parseSrc(t, `package p
+
+// ack explains itself after the directive.
+//
+//kairos:ack — journal before acking.
+func ack() {}
+
+//kairos:acknowledged
+func other() {}
+`)
+	docs := map[string]*ast.CommentGroup{}
+	for _, d := range files[0].Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			docs[fd.Name.Name] = fd.Doc
+		}
+	}
+	if !HasMarker(docs["ack"], "kairos:ack") {
+		t.Error("directive followed by an explanation should match")
+	}
+	if HasMarker(docs["other"], "kairos:ack") {
+		t.Error("a longer directive sharing the prefix should not match")
+	}
+}
+
 func TestGuardedBy(t *testing.T) {
 	fset, files := parseSrc(t, `package p
 

@@ -34,6 +34,12 @@ func (s *server) appendRecord(rec *RecordWire) error {
 //kairos:ack
 func ack(v any) {}
 
+// noted publishes like ack; its directive carries an explanation after
+// the marker, which still makes it an ack function.
+//
+//kairos:ack — trailing prose after the directive
+func noted(v any) {}
+
 // replay covers Register, Window and Ghost — Orphan is missing.
 func (s *server) replay(rw RecordWire) {
 	switch {
@@ -92,4 +98,10 @@ func (s *server) hooked(id string) func() error {
 func (s *server) waived(id string) {
 	ack(id) //kairoslint:allow walorder: fixture proving the waiver grammar silences the ordering rule
 	_ = s.appendRecord(&RecordWire{Register: &RegisterRecord{ID: id}})
+}
+
+// badNoted acks through noted before journaling.
+func (s *server) badNoted(id string) {
+	noted(id) // want "noted acks a mutation on a path with no prior appendRecord"
+	_ = s.appendRecord(&RecordWire{Window: &WindowRecord{ID: id}})
 }

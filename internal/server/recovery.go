@@ -45,19 +45,53 @@ type RecoveryStats struct {
 	Elapsed time.Duration
 }
 
-// appendRecord journals one control-plane mutation, marshalled as
-// RecordWire. A nil journal (no state dir) accepts everything: the
-// in-memory server behaves exactly as before durability existed.
+// appendRecord journals one control-plane mutation as RecordWire JSON:
+// window records are spliced from the bytes the collector sent
+// (windowPayload), every other record is marshalled. A nil journal (no
+// state dir) accepts everything: the in-memory server behaves exactly as
+// before durability existed.
 func (s *Server) appendRecord(rec *RecordWire) error {
 	if s.jl == nil {
 		return nil
 	}
-	b, err := json.Marshal(rec)
+	var b []byte
+	var err error
+	if rec.Window != nil {
+		b, err = windowPayload(rec.Window)
+	} else {
+		b, err = json.Marshal(rec)
+	}
 	if err != nil {
 		return err
 	}
 	_, err = s.jl.Append(b)
 	return err
+}
+
+// windowPayload renders a window record without re-encoding its series:
+// {"window":{"fleet":<id quoted by encoding/json>,"workloads":<span>}}
+// with one workloads member per span of w.Raw.
+func windowPayload(w *WindowRecord) ([]byte, error) {
+	if len(w.Raw) == 0 {
+		return nil, fmt.Errorf("window record for fleet %q carries no request bytes", w.Fleet)
+	}
+	fleet, err := json.Marshal(w.Fleet)
+	if err != nil {
+		return nil, err
+	}
+	const head, member, tail = `{"window":{"fleet":`, `,"workloads":`, `}}`
+	n := len(head) + len(fleet) + len(tail)
+	for _, span := range w.Raw {
+		n += len(member) + len(span)
+	}
+	b := make([]byte, 0, n)
+	b = append(b, head...)
+	b = append(b, fleet...)
+	for _, span := range w.Raw {
+		b = append(b, member...)
+		b = append(b, span...)
+	}
+	return append(b, tail...), nil
 }
 
 // installHook wires the session's advance hook: every drift-triggered

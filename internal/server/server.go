@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -122,11 +123,13 @@ type session struct {
 }
 
 // ingestReq carries one observation window into the reconcile loop and
-// the channel the loop acknowledges it on. wire is the window as
-// received, journaled verbatim.
+// the channel the loop acknowledges it on. key is the window's
+// idempotency key (windowKey) and raw its workloads bytes as received,
+// journaled verbatim (WindowRecord.Raw).
 type ingestReq struct {
 	window []kairos.Workload
-	wire   []WorkloadWire
+	key    int64
+	raw    []json.RawMessage
 	reply  chan ingestResp
 }
 
@@ -279,11 +282,11 @@ func (s *Server) close(snapshot bool) error {
 	return s.jl.Close()
 }
 
-// writeJSON writes v as a JSON response with the given status.
+// writeJSON writes v as a JSON response with the given status. A JSON
+// body is how mutations are acknowledged to clients, so in any handler
+// that journals, the append must come first.
 //
-// in any handler that journals, the append must come first.
-//
-//kairos:ack — a JSON body is how mutations are acknowledged to clients;
+//kairos:ack — journal before acking.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -321,6 +324,18 @@ func writeDecodeErr(w http.ResponseWriter, what string, err error) {
 		return
 	}
 	writeErr(w, http.StatusBadRequest, "decoding %s: %v", what, err)
+}
+
+// readBody reads a whole request body, bounded by Handler's
+// MaxBytesReader and sized up front from Content-Length when the client
+// sent one.
+func readBody(r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r.Body)
+	return buf.Bytes(), err
 }
 
 // lookup finds a registered session, or writes a 404.
@@ -506,7 +521,7 @@ func windowKey(wire []WorkloadWire) int64 {
 func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq) ingestResp {
 	// Idempotent resend: a window already acked under this start-time key
 	// returns its original acknowledgement without being re-applied.
-	key := windowKey(req.wire)
+	key := req.key
 	if key != 0 {
 		sess.mu.Lock()
 		ack, dup := sess.acks[key]
@@ -518,7 +533,7 @@ func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq
 	// Journal before applying: a window the client sees acked must exist
 	// in the journal, or a crash would silently drop it. A failed append
 	// refuses the window entirely (retryable 503) — nothing was applied.
-	if err := s.appendRecord(&RecordWire{Window: &WindowRecord{Fleet: sess.id, Workloads: req.wire}}); err != nil {
+	if err := s.appendRecord(&RecordWire{Window: &WindowRecord{Fleet: sess.id, Raw: req.raw}}); err != nil {
 		return ingestResp{journalErr: err}
 	}
 
@@ -589,11 +604,11 @@ func (s *Server) processWindow(ctx context.Context, sess *session, req ingestReq
 }
 
 // recordAck stores a window's acknowledgement in the idempotent-ingest
-// ring, evicting the oldest entry beyond ackRingSize.
+// ring, evicting the oldest entry beyond ackRingSize. Entering the ring
+// makes resends return the original ack, so the window must already be
+// journaled.
 //
-// so the window must already be journaled.
-//
-//kairos:ack — entering the ring makes resends return the original ack,
+//kairos:ack — journal before acking.
 func (s *Server) recordAck(sess *session, key int64, resp ingestResp) {
 	if key == 0 {
 		return
@@ -626,16 +641,22 @@ func (s *Server) bumpBackoff(sess *session) (int, time.Duration) {
 	return sess.failures, d
 }
 
-// handleWindow is POST /v1/fleets/{id}/windows: decode the window, hand
-// it to the fleet's reconcile loop, and acknowledge once it has been
-// applied (including whether it triggered a re-solve).
+// handleWindow is POST /v1/fleets/{id}/windows: decode the window in one
+// pass (decodeWindow), hand it to the fleet's reconcile loop, and
+// acknowledge once it has been applied (including whether it triggered
+// a re-solve).
 func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookup(w, r)
 	if sess == nil {
 		return
 	}
-	var req WindowRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := readBody(r)
+	if err != nil {
+		writeDecodeErr(w, "window", err)
+		return
+	}
+	req, raw, err := decodeWindow(body)
+	if err != nil {
 		writeDecodeErr(w, "window", err)
 		return
 	}
@@ -644,7 +665,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ir := ingestReq{window: window, wire: req.Workloads, reply: make(chan ingestResp, 1)}
+	ir := ingestReq{window: window, key: windowKey(req.Workloads), raw: raw, reply: make(chan ingestResp, 1)}
 	select {
 	case sess.ingest <- ir:
 	case <-sess.done:

@@ -227,11 +227,21 @@ type RegisterRecord struct {
 }
 
 // WindowRecord journals one acked observation window, verbatim as it
-// arrived on the wire. It is written before the window is applied (and
-// before it is acked), so every acked window survives a crash.
+// arrived on the wire: appendRecord writes the record as
+// {"window":{"fleet":<id>,"workloads":<Raw>}}, splicing in the request's
+// own workloads bytes instead of re-encoding them, and replay decodes
+// Workloads from those bytes with encoding/json. It is written before the
+// window is applied (and before it is acked), so every acked window
+// survives a crash.
 type WindowRecord struct {
 	Fleet     string         `json:"fleet"`
 	Workloads []WorkloadWire `json:"workloads"`
+	// Raw is the window body's workloads value as decodeWindow returned
+	// it, and the only source appendRecord writes the record from. A
+	// body that repeats the workloads key (encoding/json merges the
+	// repeats in order) yields one entry per repeat, and the record
+	// repeats the key likewise, so replay merges them the same way.
+	Raw []json.RawMessage `json:"-"`
 }
 
 // AdvanceRecord journals one incumbent-plan advance. The reconcile loop
